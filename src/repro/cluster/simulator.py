@@ -356,14 +356,15 @@ class ClusterSimulator:
             planned_runtime_seconds=runtime,
         )
         self._completed.append(run)
-        self.log.record(
-            "cluster",
-            "run_completed",
-            time=self.now,
-            run_id=record.run_id,
-            hardware=config.name,
-            runtime=runtime,
-        )
+        if self.log.enabled:
+            self.log.record(
+                "cluster",
+                "run_completed",
+                time=self.now,
+                run_id=record.run_id,
+                hardware=config.name,
+                runtime=runtime,
+            )
         return run
 
     # ------------------------------------------------------------------ #
@@ -422,7 +423,8 @@ class ClusterSimulator:
         self._events.push(submit_time, POD_SUBMITTED, pod_name=name)
         self._pods[name] = pod
         self._pod_workloads[name] = workload
-        self.log.record("cluster", "pod_submitted", time=submit_time, pod=name, hardware=config.name)
+        if self.log.enabled:
+            self.log.record("cluster", "pod_submitted", time=submit_time, pod=name, hardware=config.name)
         return pod
 
     def _running_pods_by_node(self) -> Dict[str, List[Pod]]:
@@ -466,14 +468,15 @@ class ClusterSimulator:
             self._autoscaler.idle_since.pop(node_name, None)
         node = next(n for n in self.nodes if n.name == node_name)
         self._reschedule_node(node)
-        self.log.record(
-            "scheduler",
-            "pod_scheduled",
-            time=self.now,
-            pod=pod.name,
-            node=node_name,
-            reason=reason,
-        )
+        if self.log.enabled:
+            self.log.record(
+                "scheduler",
+                "pod_scheduled",
+                time=self.now,
+                pod=pod.name,
+                node=node_name,
+                reason=reason,
+            )
 
     def _reschedule_node(self, node: Node) -> None:
         """Re-integrate progress and move the finish frontier on ``node``.
@@ -598,14 +601,15 @@ class ClusterSimulator:
             self._running[node.name].remove(victim)
             victim.mark_preempted(self.now)
             victims.append(victim)
-            self.log.record(
-                "scheduler",
-                "pod_preempted",
-                time=self.now,
-                pod=name,
-                node=plan.node_name,
-                preempted_by=plan.pod_name,
-            )
+            if self.log.enabled:
+                self.log.record(
+                    "scheduler",
+                    "pod_preempted",
+                    time=self.now,
+                    pod=name,
+                    node=plan.node_name,
+                    preempted_by=plan.pod_name,
+                )
         # The evictions changed the node's co-residency: surviving residents
         # may speed up (the preemptor's own placement reschedules again).
         self._reschedule_node(node)
@@ -744,9 +748,10 @@ class ClusterSimulator:
             ready = self.now + pool.provision_delay_seconds
             self._events.push(ready, NODE_PROVISIONED, node_name=name)
             state.events.append(ScaleEvent(self.now, "scale_up_requested", name))
-            self.log.record(
-                "autoscaler", "scale_up_requested", time=self.now, node=name, ready_at=ready
-            )
+            if self.log.enabled:
+                self.log.record(
+                    "autoscaler", "scale_up_requested", time=self.now, node=name, ready_at=ready
+                )
 
     def _handle_node_provisioned(self, event) -> None:
         state = self._autoscaler
@@ -763,7 +768,8 @@ class ClusterSimulator:
         state.alive += 1
         state.provisioned_at[name] = float(event.time)
         state.events.append(ScaleEvent(float(event.time), "node_provisioned", name))
-        self.log.record("autoscaler", "node_provisioned", time=event.time, node=name)
+        if self.log.enabled:
+            self.log.record("autoscaler", "node_provisioned", time=event.time, node=name)
         self._mark_node_idle(name, float(event.time))
         self._try_schedule_pending()
 
@@ -805,7 +811,8 @@ class ClusterSimulator:
         started = state.provisioned_at.pop(name)
         state.lifetimes.append((name, started, float(event.time)))
         state.events.append(ScaleEvent(float(event.time), "node_drained", name))
-        self.log.record("autoscaler", "node_drained", time=event.time, node=name)
+        if self.log.enabled:
+            self.log.record("autoscaler", "node_drained", time=event.time, node=name)
 
     def _integrate_busy(self) -> None:
         """Accumulate each node's allocated resource-seconds up to ``now``.
@@ -879,13 +886,14 @@ class ClusterSimulator:
                 planned_runtime_seconds=pod.work_seconds,
             )
         )
-        self.log.record(
-            "cluster",
-            "pod_finished",
-            time=event.time,
-            pod=pod.name,
-            runtime=runtime,
-        )
+        if self.log.enabled:
+            self.log.record(
+                "cluster",
+                "pod_finished",
+                time=event.time,
+                pod=pod.name,
+                runtime=runtime,
+            )
         # The departure freed capacity: surviving residents speed up
         # before the pending queue competes for the room.
         self._reschedule_node(node)

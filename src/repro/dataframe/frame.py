@@ -162,9 +162,10 @@ class DataFrame:
         return {name: col[index] for name, col in self._columns.items()}
 
     def iterrows(self) -> Iterator[Dict[str, Any]]:
-        """Iterate over rows as dictionaries."""
-        for i in range(len(self)):
-            yield self.row(i)
+        """Iterate over rows as dictionaries (the same dicts :meth:`row` returns)."""
+        names = list(self._columns)
+        for values in zip(*(col.values for col in self._columns.values())):
+            yield dict(zip(names, values))
 
     def head(self, n: int = 5) -> "DataFrame":
         return self.take(np.arange(min(n, len(self))))

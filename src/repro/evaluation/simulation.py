@@ -337,16 +337,19 @@ class OnlineSimulation:
         # engine's replay fast path: when a round replays pool row ``i`` on
         # arm ``j``, the observation is ``max(normal(truth, sigma), ...)``
         # exactly as WorkloadModel.observed_runtime computes it.
-        n_eval, n_arms = len(frame), len(self.catalog)
-        truth = np.empty((n_eval, n_arms))
-        sigma = np.empty((n_eval, n_arms))
-        for i, row in enumerate(frame.iterrows()):
-            features = {name: float(row[name]) for name in self.workload.feature_names if name in row}
-            for j, hw in enumerate(self.catalog):
-                truth[i, j] = self.workload.expected_runtime(features, hw)
-                sigma[i, j] = self.workload.noise_scale(features, hw)
+        columns = {
+            name: frame[name].to_numpy(float)
+            for name in self.workload.feature_names
+            if name in frame
+        }
+        if not columns:
+            raise KeyError(
+                f"evaluation frame has none of the features of workload "
+                f"{self.workload.name!r}: {self.workload.feature_names}"
+            )
+        truth, self._pool_sigma = self.workload.runtime_table(columns, self.catalog)
         self._truth = truth
-        self._pool_sigma = sigma
+        n_arms = len(self.catalog)
         # The replay fast path is only valid when observations come from the
         # pool AND the workload has not customised observed_runtime.
         self._env_fast = (
@@ -375,12 +378,8 @@ class OnlineSimulation:
         # Workflow replay pool: the features of every evaluation row, in the
         # workload's own feature space (used when sample_from_frame is true).
         self._workflow_pool = [
-            {
-                name: float(row[name])
-                for name in self.workload.feature_names
-                if name in row
-            }
-            for row in frame.iterrows()
+            {name: value for name, value in zip(columns, values)}
+            for values in zip(*(column.tolist() for column in columns.values()))
         ]
         # Scaled context vector of every pool row (row i of the standardised
         # evaluation matrix is exactly _scale_context(pool[i]) in vector form).

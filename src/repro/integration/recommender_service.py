@@ -212,8 +212,10 @@ class RecommendationService:
         if warm_start_history and self.history.records_for(name):
             frame = self.history.frame_for(name)
             ingested = recommender.warm_start(frame)
-            self.log.record("service", "warm_start", application=name, rows=ingested)
-        self.log.record("service", "application_registered", application=name, owner=owner)
+            if self.log.enabled:
+                self.log.record("service", "warm_start", application=name, rows=ingested)
+        if self.log.enabled:
+            self.log.record("service", "application_registered", application=name, owner=owner)
         return recommender
 
     def recommender_for(self, application: str) -> BanditWare:
@@ -269,14 +271,15 @@ class RecommendationService:
         )
         shard.add_ticket(ticket)
         self._ticket_shard[ticket.ticket_id] = shard.shard_id
-        self.log.record(
-            "service",
-            "recommendation",
-            ticket=ticket.ticket_id,
-            application=application,
-            hardware=recommendation.hardware.name,
-            explored=recommendation.explored,
-        )
+        if self.log.enabled:
+            self.log.record(
+                "service",
+                "recommendation",
+                ticket=ticket.ticket_id,
+                application=application,
+                hardware=recommendation.hardware.name,
+                explored=recommendation.explored,
+            )
         return ticket
 
     def submit_workflows(
@@ -304,13 +307,14 @@ class RecommendationService:
             shard.add_ticket(ticket)
             self._ticket_shard[ticket.ticket_id] = shard.shard_id
             tickets.append(ticket)
-        self.log.record(
-            "service",
-            "recommendation_batch",
-            application=application,
-            tickets=len(tickets),
-            hardware=[t.recommendation.hardware.name for t in tickets],
-        )
+        if self.log.enabled:
+            self.log.record(
+                "service",
+                "recommendation_batch",
+                application=application,
+                tickets=len(tickets),
+                hardware=[t.recommendation.hardware.name for t in tickets],
+            )
         return tickets
 
     def complete_workflows(self, completions: Sequence[tuple]) -> None:
@@ -404,9 +408,10 @@ class RecommendationService:
                     features=ticket.features,
                 )
             )
-        self.log.record(
-            "service", "workflow_completed_batch", tickets=len(resolved)
-        )
+        if self.log.enabled:
+            self.log.record(
+                "service", "workflow_completed_batch", tickets=len(resolved)
+            )
 
     def complete_workflow(
         self,
@@ -457,12 +462,13 @@ class RecommendationService:
                 features=ticket.features,
             )
         )
-        self.log.record(
-            "service",
-            "workflow_completed",
-            ticket=ticket_id,
-            runtime=float(runtime_seconds),
-        )
+        if self.log.enabled:
+            self.log.record(
+                "service",
+                "workflow_completed",
+                ticket=ticket_id,
+                runtime=float(runtime_seconds),
+            )
 
     def run_workflow(
         self,

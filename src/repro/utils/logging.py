@@ -51,6 +51,10 @@ class LogRecord:
 class EventLog:
     """An append-only in-memory event log."""
 
+    #: Whether :meth:`record` keeps anything.  Hot call sites check this
+    #: first, so a disabled log costs neither the record nor its payload.
+    enabled = True
+
     def __init__(self) -> None:
         self._records: List[LogRecord] = []
         self._counter = itertools.count()
@@ -90,8 +94,11 @@ class NullLog(EventLog):
     """An :class:`EventLog` that silently discards everything.
 
     Used as the default log so that hot loops pay no bookkeeping cost unless
-    the caller explicitly asks for a real log.
+    the caller explicitly asks for a real log: it is disabled, so the
+    simulator and the service skip their :meth:`record` calls altogether.
     """
+
+    enabled = False
 
     def record(self, source: str, event: str, time: float = 0.0, **detail: Any) -> LogRecord:
         return LogRecord(seq=-1, time=float(time), source=source, event=event, detail=dict(detail))

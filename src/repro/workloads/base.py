@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,10 +128,41 @@ class WorkloadModel(abc.ABC):
         return min(catalog, key=lambda hw: (self.expected_runtime(features, hw), hw.name))
 
     def runtime_table(
-        self, features: Dict[str, float], catalog: HardwareCatalog
-    ) -> Dict[str, float]:
-        """Expected runtime of ``features`` on every configuration in ``catalog``."""
-        return {hw.name: self.expected_runtime(features, hw) for hw in catalog}
+        self, columns: Mapping[str, np.ndarray], catalog: HardwareCatalog
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Expected runtimes and noise scales of many workflows on every arm.
+
+        ``columns`` maps feature names to equal-length 1-D float64 arrays,
+        one entry per workflow.  Returns ``(expected, noise)``, two
+        ``(n_workflows, len(catalog))`` arrays whose ``[i, j]`` entries are
+        :meth:`expected_runtime` and :meth:`noise_scale` of workflow ``i``
+        on ``catalog[j]``.
+
+        This default calls the scalar methods once per cell, so a workload
+        that defines only those works unchanged.  An override must return
+        tables bit-identical to this loop.
+        """
+        names = list(columns)
+        rows = list(zip(*(columns[name].tolist() for name in names)))
+        expected = np.empty((len(rows), len(catalog)))
+        noise = np.empty_like(expected)
+        for i, values in enumerate(rows):
+            features = dict(zip(names, values))
+            for j, hw in enumerate(catalog):
+                expected[i, j] = self.expected_runtime(features, hw)
+                noise[i, j] = self.noise_scale(features, hw)
+        return expected, noise
+
+
+def require_positive(name: str, values: np.ndarray) -> None:
+    """Reject a column the way the scalar runtime methods reject one workflow.
+
+    Raises ``ValueError`` naming the first non-positive entry of ``values``
+    with the same message the scalar check gives for it.
+    """
+    bad = values[values <= 0]
+    if bad.size:
+        raise ValueError(f"{name} must be positive, got {float(bad[0])}")
 
 
 class TraceGenerator:

@@ -21,11 +21,11 @@ factor within ±2 %, and adds heavy heteroscedastic noise.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hardware import HardwareConfig
+from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.workloads.base import WorkloadModel
 
 __all__ = ["BurnPro3DWorkload", "BP3D_FEATURES", "BP3D_FEATURE_DESCRIPTIONS"]
@@ -41,6 +41,9 @@ BP3D_FEATURES: List[str] = [
     "run_max_mem_rss_bytes",
     "area",
 ]
+
+#: Floor on the linear backbone of the runtime (seconds).
+_MIN_BASE_SECONDS = 300.0
 
 #: Human-readable descriptions copied from Table 1.
 BP3D_FEATURE_DESCRIPTIONS: Dict[str, str] = {
@@ -142,8 +145,8 @@ class BurnPro3DWorkload(WorkloadModel):
             "area": area,
         }
 
-    def _hardware_factor(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
-        """Per-hardware, per-workflow runtime multiplier within ``1 ± hardware_spread``.
+    def _hardware_terms(self, hardware: HardwareConfig) -> Tuple[float, float]:
+        """The hardware-only parts of the runtime factor: ``(systematic, frequency)``.
 
         The paper observes that the three NDP settings behave nearly
         identically and that even the full-data fit only reaches random-guess
@@ -161,27 +164,55 @@ class BurnPro3DWorkload(WorkloadModel):
         # [+spread/4, -spread/4].
         reference = 7.5
         scale = (capacity - reference) / reference
-        systematic = -self.hardware_spread * 0.25 * np.clip(scale, -1.0, 1.0)
-        # Workflow-dependent part: which configuration wins depends on the
-        # run's inputs (cache/IO alignment effects in the real platform).
-        phase = (
-            0.017 * float(features.get("wind_direction", 0.0))
-            + 0.23 * float(features.get("surface_moisture", 0.0))
-            + 0.00071 * float(features.get("sim_time", 0.0))
+        systematic = -self.hardware_spread * 0.25 * min(max(scale, -1.0), 1.0)
+        # The oscillation's frequency in the workflow phase.
+        return systematic, 1.0 + 0.37 * capacity
+
+    def _workflow_terms(self, values: Mapping[str, Any]) -> Tuple[Any, Any]:
+        """The per-workflow parts of the runtime: ``(linear backbone, phase)``.
+
+        ``values`` maps every feature to a float (one workflow) or to a
+        float64 array (one entry per workflow); the arithmetic is the same
+        elementwise either way.
+        """
+        base = self._intercept + sum(
+            self._coefficients[name] * values[name] for name in BP3D_FEATURES
         )
-        wobble = self.hardware_spread * 0.5 * np.sin(phase * (1.0 + 0.37 * capacity))
-        return 1.0 + systematic + wobble
+        # Which configuration wins depends on the run's inputs (cache/IO
+        # alignment effects in the real platform).
+        phase = (
+            0.017 * values["wind_direction"]
+            + 0.23 * values["surface_moisture"]
+            + 0.00071 * values["sim_time"]
+        )
+        return base, phase
+
+    def _runtime(self, base: Any, phase: Any, systematic: Any, frequency: Any) -> Any:
+        """Expected runtime from the clamped backbone and the hardware factor (broadcasts)."""
+        wobble = self.hardware_spread * 0.5 * np.sin(phase * frequency)
+        return base * (1.0 + systematic + wobble)
+
+    def _noise(self, expected: Any) -> Any:
+        return np.hypot(self.noise_seconds, 0.12 * expected)
 
     def expected_runtime(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
-        base = self._intercept + sum(
-            self._coefficients[name] * float(features[name]) for name in self.feature_names
+        base, phase = self._workflow_terms(
+            {name: float(features[name]) for name in BP3D_FEATURES}
         )
-        base = max(base, 300.0)
-        return base * self._hardware_factor(features, hardware)
+        return self._runtime(max(base, _MIN_BASE_SECONDS), phase, *self._hardware_terms(hardware))
 
     def noise_scale(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
-        expected = self.expected_runtime(features, hardware)
-        return float(np.hypot(self.noise_seconds, 0.12 * expected))
+        return float(self._noise(self.expected_runtime(features, hardware)))
+
+    def runtime_table(
+        self, columns: Mapping[str, np.ndarray], catalog: HardwareCatalog
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        base, phase = self._workflow_terms(columns)
+        systematic, frequency = np.array([self._hardware_terms(hw) for hw in catalog]).T
+        expected = self._runtime(
+            np.maximum(base, _MIN_BASE_SECONDS)[:, None], phase[:, None], systematic, frequency
+        )
+        return expected, self._noise(expected)
 
     # ------------------------------------------------------------------ #
     def true_coefficients(self, hardware: HardwareConfig) -> Dict[str, float]:

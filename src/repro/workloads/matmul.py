@@ -20,13 +20,13 @@ here:
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hardware import HardwareConfig
+from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.utils.rng import SeedLike, as_generator
-from repro.workloads.base import WorkloadModel
+from repro.workloads.base import WorkloadModel, require_positive
 
 __all__ = ["tiled_matrix_square", "MatrixMultiplicationWorkload"]
 
@@ -192,28 +192,47 @@ class MatrixMultiplicationWorkload(WorkloadModel):
         speedup = 1.0 / (serial_time_share + self.parallel_fraction / hardware.cpus)
         return single * speedup
 
+    def _runtime(self, cube: Any, square: Any, sparsity: Any, hardware: HardwareConfig) -> Any:
+        """Expected runtime on ``hardware``, for floats or one array entry per workflow.
+
+        ``cube`` and ``square`` are ``size**3`` and ``size**2``, taken by the
+        caller with Python's ``**`` on floats: numpy's vectorised power does
+        not reproduce the C library's ``pow`` bit for bit.
+        """
+        # 2·n³ flops for a dense square; sparsity gives a tiny (few percent)
+        # discount because zero blocks still pass through the kernel.
+        flops = 2.0 * cube * (1.0 - 0.05 * sparsity)
+        compute_seconds = flops / self.effective_throughput(hardware)
+        # Memory/setup overhead: allocation and tile bookkeeping (~n² bytes)
+        # plus a per-core startup cost, so small matrices run fastest on the
+        # smallest allocation and the best hardware crosses over with size.
+        setup_seconds = 0.5 + self.startup_seconds_per_cpu * hardware.cpus + 1.5e-8 * square
+        return compute_seconds + setup_seconds
+
+    def _noise(self, expected: Any) -> Any:
+        return np.hypot(0.5, self.noise_fraction * expected)
+
     def expected_runtime(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
         size = float(features["size"])
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
         sparsity = float(features.get("sparsity", 0.0))
-        # 2·n³ flops for a dense square; sparsity gives a tiny (few percent)
-        # discount because zero blocks still pass through the kernel.
-        flops = 2.0 * size**3 * (1.0 - 0.05 * sparsity)
-        compute_seconds = flops / self.effective_throughput(hardware)
-        # Memory/setup overhead: allocation and tile bookkeeping (~n² bytes)
-        # plus a per-core startup cost, so small matrices run fastest on the
-        # smallest allocation and the best hardware crosses over with size.
-        setup_seconds = (
-            0.5
-            + self.startup_seconds_per_cpu * hardware.cpus
-            + 1.5e-8 * size**2
-        )
-        return compute_seconds + setup_seconds
+        return self._runtime(size**3, size**2, sparsity, hardware)
 
     def noise_scale(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
-        expected = self.expected_runtime(features, hardware)
-        return float(np.hypot(0.5, self.noise_fraction * expected))
+        return float(self._noise(self.expected_runtime(features, hardware)))
+
+    def runtime_table(
+        self, columns: Mapping[str, np.ndarray], catalog: HardwareCatalog
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        size = columns["size"]
+        require_positive("size", size)
+        sizes = size.tolist()
+        cube = np.array([n**3 for n in sizes])
+        square = np.array([n**2 for n in sizes])
+        sparsity = columns.get("sparsity", 0.0)
+        expected = np.column_stack([self._runtime(cube, square, sparsity, hw) for hw in catalog])
+        return expected, self._noise(expected)
 
     # ------------------------------------------------------------------ #
     def generate_matrix(self, features: Dict[str, float], rng: Optional[np.random.Generator] = None) -> np.ndarray:

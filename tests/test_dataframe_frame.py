@@ -106,6 +106,17 @@ class TestRowAccess:
         assert len(rows) == 4
         assert rows[0]["hardware"] == "H0"
 
+    def test_iterrows_yields_the_row_dicts(self, df):
+        for i, row in enumerate(df.iterrows()):
+            reference = df.row(i)
+            assert list(row) == list(reference)
+            assert all(type(row[k]) is type(reference[k]) for k in row)
+            assert row == reference
+
+    def test_iterrows_empty(self):
+        assert list(DataFrame({}).iterrows()) == []
+        assert list(DataFrame({"a": []}).iterrows()) == []
+
     def test_head_tail(self, df):
         assert len(df.head(2)) == 2
         assert df.tail(1).row(0)["size"] == 400

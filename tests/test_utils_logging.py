@@ -1,5 +1,7 @@
 """Tests for repro.utils.logging."""
 
+import numpy as np
+
 from repro.utils.logging import EventLog, LogRecord, NullLog
 
 
@@ -60,3 +62,36 @@ class TestNullLog:
         assert len(log) == 0
         assert isinstance(rec, LogRecord)
         assert rec.detail == {"value": 1}
+
+
+class _CountingNullLog(NullLog):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def record(self, *args, **kwargs):
+        self.calls += 1
+        return super().record(*args, **kwargs)
+
+
+def test_components_skip_a_disabled_log(ndp):
+    """The simulator and the service never call ``record`` on a disabled log."""
+    from repro.cluster.node import Node
+    from repro.cluster.simulator import ClusterSimulator
+    from repro.integration import RecommendationService
+    from repro.workloads import LinearRuntimeWorkload
+
+    workload = LinearRuntimeWorkload.random(ndp, n_features=1, seed=2, noise_sigma=0.1)
+    rng = np.random.default_rng(0)
+    for log in (_CountingNullLog(), EventLog()):
+        cluster = ClusterSimulator(
+            workload, ndp, nodes=[Node("n0", cpus=8, memory_gb=64)], seed=0, log=log
+        )
+        service = RecommendationService(ndp, seed=0, log=log)
+        service.register_application("app", "owner", workload.feature_names)
+        for _ in range(3):
+            service.run_workflow("app", workload.sample_features(rng), cluster)
+        if isinstance(log, NullLog):
+            assert log.calls == 0
+        else:
+            assert {rec.source for rec in log} >= {"cluster", "service"}

@@ -327,8 +327,8 @@ class TestWorkloadModelShared:
 
     def test_best_hardware_returns_minimum(self, cycles_workload, synthetic4):
         best = cycles_workload.best_hardware({"num_tasks": 500}, synthetic4)
-        table = cycles_workload.runtime_table({"num_tasks": 500}, synthetic4)
-        assert table[best.name] == min(table.values())
+        expected, _ = cycles_workload.runtime_table({"num_tasks": np.array([500.0])}, synthetic4)
+        assert expected[0, synthetic4.index_of(best.name)] == expected[0].min()
 
     def test_feature_vector_order(self, bp3d_workload, rng):
         f = bp3d_workload.sample_features(rng)
