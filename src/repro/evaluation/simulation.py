@@ -300,6 +300,13 @@ class OnlineSimulation:
                 f"evaluation frame is missing columns {sorted(missing)}; "
                 f"has {evaluation_frame.columns}"
             )
+        # The ground-truth tables are built from the workload's own feature
+        # columns, which carry the row count.
+        if not any(name in evaluation_frame for name in workload.feature_names):
+            raise KeyError(
+                f"evaluation frame has none of the features of workload "
+                f"{workload.name!r}: {workload.feature_names}"
+            )
         self.evaluation_frame = evaluation_frame
         self._prepare_evaluation_arrays()
 
@@ -342,11 +349,6 @@ class OnlineSimulation:
             for name in self.workload.feature_names
             if name in frame
         }
-        if not columns:
-            raise KeyError(
-                f"evaluation frame has none of the features of workload "
-                f"{self.workload.name!r}: {self.workload.feature_names}"
-            )
         truth, self._pool_sigma = self.workload.runtime_table(columns, self.catalog)
         self._truth = truth
         n_arms = len(self.catalog)

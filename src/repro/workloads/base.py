@@ -154,17 +154,6 @@ class WorkloadModel(abc.ABC):
         return expected, noise
 
 
-def require_positive(name: str, values: np.ndarray) -> None:
-    """Reject a column the way the scalar runtime methods reject one workflow.
-
-    Raises ``ValueError`` naming the first non-positive entry of ``values``
-    with the same message the scalar check gives for it.
-    """
-    bad = values[values <= 0]
-    if bad.size:
-        raise ValueError(f"{name} must be positive, got {float(bad[0])}")
-
-
 class TraceGenerator:
     """Generate run-history tables from a workload model and hardware catalog.
 

@@ -21,12 +21,12 @@ capacity.  The scale is calibrated so that a 500-task workflow takes roughly
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.hardware import HardwareCatalog, HardwareConfig
-from repro.workloads.base import WorkloadModel, require_positive
+from repro.hardware import HardwareConfig
+from repro.workloads.base import WorkloadModel
 
 __all__ = ["CyclesWorkload"]
 
@@ -104,26 +104,14 @@ class CyclesWorkload(WorkloadModel):
         parallel = self.parallel_fraction * self.work_seconds_per_task / hardware.compute_capacity
         return serial + parallel
 
-    def _makespan(self, num_tasks: Any, hardware: HardwareConfig) -> Any:
-        """Expected makespan on ``hardware``, for a float or one array entry per workflow."""
-        return self.startup_seconds + self.per_task_seconds(hardware) * num_tasks
-
     def expected_runtime(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
         num_tasks = float(features["num_tasks"])
         if num_tasks <= 0:
             raise ValueError(f"num_tasks must be positive, got {num_tasks}")
-        return self._makespan(num_tasks, hardware)
+        return self.startup_seconds + self.per_task_seconds(hardware) * num_tasks
 
     def noise_scale(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
         return self.noise_fraction * self.expected_runtime(features, hardware)
-
-    def runtime_table(
-        self, columns: Mapping[str, np.ndarray], catalog: HardwareCatalog
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        num_tasks = columns["num_tasks"]
-        require_positive("num_tasks", num_tasks)
-        expected = np.column_stack([self._makespan(num_tasks, hw) for hw in catalog])
-        return expected, self.noise_fraction * expected
 
     # ------------------------------------------------------------------ #
     def true_coefficients(self, hardware: HardwareConfig) -> Dict[str, float]:

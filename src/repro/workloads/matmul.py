@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.utils.rng import SeedLike, as_generator
-from repro.workloads.base import WorkloadModel, require_positive
+from repro.workloads.base import WorkloadModel
 
 __all__ = ["tiled_matrix_square", "MatrixMultiplicationWorkload"]
 
@@ -225,9 +225,10 @@ class MatrixMultiplicationWorkload(WorkloadModel):
     def runtime_table(
         self, columns: Mapping[str, np.ndarray], catalog: HardwareCatalog
     ) -> Tuple[np.ndarray, np.ndarray]:
-        size = columns["size"]
-        require_positive("size", size)
-        sizes = size.tolist()
+        sizes = columns["size"].tolist()
+        for size in sizes:
+            if size <= 0:
+                raise ValueError(f"size must be positive, got {size}")
         cube = np.array([n**3 for n in sizes])
         square = np.array([n**2 for n in sizes])
         sparsity = columns.get("sparsity", 0.0)

@@ -160,6 +160,14 @@ class TestOnlineSimulation:
         with pytest.raises(KeyError):
             OnlineSimulation(workload, ndp, bad)
 
+    def test_frame_without_workload_features_rejected(self, linear_setup, ndp):
+        # The context features are present, but none of the workload's own
+        # features are, so the ground-truth tables cannot be built.
+        workload, frame = linear_setup
+        renamed = frame.rename({"x": "z"})
+        with pytest.raises(KeyError, match="none of the features"):
+            OnlineSimulation(workload, ndp, renamed, feature_names=["z"])
+
     def test_sample_from_model_mode(self, linear_setup, ndp):
         workload, frame = linear_setup
         sim = OnlineSimulation(

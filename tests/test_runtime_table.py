@@ -1,8 +1,8 @@
 """The batched ``WorkloadModel.runtime_table`` contract.
 
 ``OnlineSimulation`` builds its ground-truth and noise tables with one
-``runtime_table`` call.  The paper workloads override it with array code;
-each override must reproduce the base class's per-cell scalar loop bit for
+``runtime_table`` call.  BurnPro3D and matrix multiplication override it
+with array code; each override must reproduce the base class's per-cell scalar loop bit for
 bit (``np.array_equal``, never ``allclose``), because those tables decide
 every replayed observation and every accuracy point.
 """
@@ -113,9 +113,6 @@ class TestNonPositiveInputs:
         message = self._scalar_message(workload, {"num_tasks": bad}, synthetic4[0])
         with pytest.raises(ValueError) as info:
             workload.runtime_table(columns, synthetic4)
-        assert str(info.value) == message
-        with pytest.raises(ValueError) as info:
-            WorkloadModel.runtime_table(workload, columns, synthetic4)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("bad", [0.0, -250.0])
