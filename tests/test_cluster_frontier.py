@@ -25,6 +25,7 @@ import pytest
 
 from repro.cluster import ClusterSimulator, Node
 from repro.cluster.interference import LinearSlowdown
+from repro.cluster.placement import FirstFit
 from repro.evaluation.contention import (
     CONTENTION_SCENARIOS,
     build_scenario,
@@ -79,6 +80,19 @@ class TestFrontierParity:
 
     def test_reference_covers_every_registered_scenario(self):
         assert sorted(REFERENCE["scenarios"]) == sorted(CONTENTION_SCENARIOS)
+
+    @pytest.mark.parametrize("name", sorted(CONTENTION_SCENARIOS))
+    def test_default_placement_is_first_fit(self, name):
+        """A scenario's default run is its ``first-fit`` fingerprint run.
+
+        No registered scenario injects a placement, and every scenario's
+        scheduler defaults to the stateless :class:`FirstFit`, so injecting
+        ``first-fit`` changes nothing: the ``first-fit`` pins above also
+        cover every default-placement run.
+        """
+        scenario = build_scenario(name)
+        assert scenario.placement is None
+        assert scenario.scheduler_factory().placement == FirstFit()
 
 
 # --------------------------------------------------------------------- #
