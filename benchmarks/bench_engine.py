@@ -10,15 +10,14 @@ Three benchmarks live here:
 * ``run_interference_bench`` -- the interference-suite benchmark
   (``BENCH_interference.json``): each interference scenario is timed under
   its configured model *and* under the null model (same streams, full
-  speed), recording the slowdown statistics, the progress-engine event
-  overhead, and an exact NoInterference-parity check against the
-  fixed-finish reference numbers.
+  speed), recording the slowdown statistics and the progress-engine event
+  overhead.
 * ``run_kernel_bench`` -- the array-kernel benchmark (``BENCH_kernel.json``):
-  asserts that the structure-of-arrays simulator kernel reproduces every
-  registered scenario's seed-0 summary **bit for bit** against the
-  pre-refactor reference (``kernel_parity_reference.json``), then times the
-  interference-heavy replication sweep and two co-residency stress runs
-  against pre-refactor wall-clock baselines (``kernel_baseline.json``),
+  asserts the golden fingerprint -- every registered scenario x
+  {FirstFit, LeastSlowdown} reproduces ``frontier_parity_reference.json``
+  **bit for bit** -- then times the interference-heavy replication sweep
+  and two co-residency stress runs against pre-refactor wall-clock
+  baselines (``kernel_baseline.json``, ``frontier_baseline.json``),
   recording the measured speedup factors either way.
 * ``run_service_bench`` -- the serving-layer benchmark
   (``BENCH_service.json``): asserts the sharded ``RecommendationService``
@@ -35,8 +34,7 @@ Three benchmarks live here:
   (``BENCH_placement.json``): the interference scenarios are replayed under
   each placement policy (first-fit, best-fit, spread, pack,
   least-slowdown) across several seeds, recording per-policy slowdown and
-  makespan plus an exact FirstFit-parity check of every registered scenario
-  against the pre-refactor reference summaries.  It asserts the headline
+  makespan.  It asserts the headline
   result: ``LeastSlowdown`` cuts mean slowdown strictly below ``Pack`` on
   ``interference-heavy`` for every benchmarked seed.
 
@@ -381,25 +379,14 @@ def run_interference_bench(
     repeats: int = 3,
     output: Optional[os.PathLike] = DEFAULT_INTERFERENCE_OUTPUT,
 ) -> Dict:
-    """Time the interference suite and pin the NoInterference parity.
+    """Time the interference suite.
 
     Per interference scenario: best-of-``repeats`` wall clock under the
     configured model and under the null counterfactual (identical tenants,
     streams and seeds -- the difference is pure progress-engine overhead
     plus the stretched schedule), with the seed-0 slowdown headline numbers.
-    The report also re-runs the ``saturated`` scenario and asserts its
-    decision stream and headline regret are *exactly* the fixed-finish
-    engine's reference values, so CI can fail the suite on any NoInterference
-    drift without re-running the whole test battery.
     """
     from repro.evaluation.contention import build_scenario, run_scenario
-
-    pin = json.loads(
-        (Path(__file__).resolve().parent / "interference_parity_reference.json").read_text()
-    )
-    reference = pin["summary"]
-    parity = run_scenario(build_scenario(pin["scenario"], seed=pin["seed"])).summary()
-    parity_exact = all(parity[key] == value for key, value in reference.items())
 
     scenarios: Dict[str, Dict] = {}
     for name in ("interference-light", "interference-heavy", "noisy-neighbor"):
@@ -425,18 +412,9 @@ def run_interference_bench(
         "benchmark": "interference_suite",
         "cpu_count": os.cpu_count(),
         "scenarios": scenarios,
-        "no_interference_parity_exact": parity_exact,
-        "no_interference_reference": reference,
-        "no_interference_observed": {key: parity[key] for key in reference},
     }
     if output is not None:
         Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    if not parity_exact:
-        raise AssertionError(
-            "NoInterference parity drift: the progress-based engine no longer "
-            f"reproduces the fixed-finish reference exactly ({report['no_interference_observed']} "
-            f"!= {reference})"
-        )
     return report
 
 
@@ -445,34 +423,14 @@ def run_placement_bench(
     repeats: int = 3,
     output: Optional[os.PathLike] = DEFAULT_PLACEMENT_OUTPUT,
 ) -> Dict:
-    """Benchmark placement policies and pin the FirstFit parity.
+    """Benchmark placement policies.
 
-    Two guarantees are asserted (CI runs this suite in smoke mode):
-
-    * **FirstFit parity** -- every registered scenario's seed-0 summary
-      matches the pre-placement-refactor reference values in
-      ``placement_parity_reference.json`` exactly (the refactor decoupled
-      ordering from placement without changing the default behaviour);
-    * **interference-aware placement pays** -- on ``interference-heavy``,
-      ``LeastSlowdown`` achieves strictly lower mean slowdown than ``Pack``
-      for *every* benchmarked seed.
+    Asserted (CI runs this suite in smoke mode): **interference-aware
+    placement pays** -- on ``interference-heavy``, ``LeastSlowdown``
+    achieves strictly lower mean slowdown than ``Pack`` for *every*
+    benchmarked seed.
     """
     from repro.evaluation.contention import build_scenario, run_scenario
-
-    pin = json.loads(
-        (Path(__file__).resolve().parent / "placement_parity_reference.json").read_text()
-    )
-    parity_drift: Dict[str, Dict] = {}
-    for scenario_name, reference in pin["scenarios"].items():
-        summary = run_scenario(build_scenario(scenario_name, seed=pin["seed"])).summary()
-        drift = {
-            key: {"reference": value, "observed": summary[key]}
-            for key, value in reference.items()
-            if summary[key] != value
-        }
-        if drift:
-            parity_drift[scenario_name] = drift
-    parity_exact = not parity_drift
 
     policies = ["first-fit", "best-fit", "spread", "pack", "least-slowdown"]
     comparison_scenarios = ["interference-heavy", "spread-vs-pack", "hetero-nodes"]
@@ -514,17 +472,10 @@ def run_placement_bench(
         "seeds": seeds,
         "policies": policies,
         "scenarios": scenarios,
-        "first_fit_parity_exact": parity_exact,
-        "first_fit_parity_drift": parity_drift,
         "least_slowdown_beats_pack_on_interference_heavy": least_beats_pack,
     }
     if output is not None:
         Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    if not parity_exact:
-        raise AssertionError(
-            "FirstFit placement parity drift: the decoupled placement engine no "
-            f"longer reproduces the pre-refactor reference exactly ({parity_drift})"
-        )
     if not least_beats_pack:
         raise AssertionError(
             "LeastSlowdown no longer beats Pack on interference-heavy: "
@@ -768,19 +719,16 @@ def run_kernel_bench(
     repeats: int = 3,
     output: Optional[os.PathLike] = DEFAULT_KERNEL_OUTPUT,
 ) -> Dict:
-    """Benchmark the array kernel and pin its bit-identical parity.
+    """Benchmark the array kernel and pin the golden fingerprint.
 
     Asserted (CI runs this suite in smoke mode):
 
-    * **kernel parity** -- every registered contention scenario's seed-0
-      summary matches ``kernel_parity_reference.json`` (captured at the
-      pre-array-kernel commit) *exactly*: the structure-of-arrays kernel is
-      a pure representation change, never a semantic one;
-    * **frontier parity** -- every scenario x {FirstFit, LeastSlowdown}
+    * **golden fingerprint** -- every scenario x {FirstFit, LeastSlowdown}
       fingerprint (summary, decision streams, accounting-row digest)
       matches ``frontier_parity_reference.json`` (captured at the
-      per-pod-event commit) *exactly*: the per-node finish frontier changes
-      heap traffic, never results;
+      per-pod-event commit) *exactly*.  Its ``first-fit`` runs are each
+      scenario's default run, so this one assert also pins the array
+      kernel, the placement refactor and the progress engine;
     * **event-count bound** -- the stress runs process at most
       ``4 x n_pods + topology_changes`` events: heap traffic must stay
       O(completions + topology changes), not O(pods x changes);
@@ -790,34 +738,15 @@ def run_kernel_bench(
       (``kernel_baseline.json``; the measured factors are recorded
       verbatim, whatever they are).
     """
-    from repro.evaluation.contention import (
-        CONTENTION_SCENARIOS,
-        build_scenario,
-        run_scenario,
-        scenario_fingerprint,
-    )
+    from repro.evaluation.contention import build_scenario, scenario_fingerprint
     from repro.evaluation.engine import run_scenario_replications
 
     bench_dir = Path(__file__).resolve().parent
-    reference = json.loads((bench_dir / "kernel_parity_reference.json").read_text())
     baseline = json.loads((bench_dir / "kernel_baseline.json").read_text())
     frontier_reference = json.loads(
         (bench_dir / "frontier_parity_reference.json").read_text()
     )
     frontier_baseline = json.loads((bench_dir / "frontier_baseline.json").read_text())
-
-    parity_drift: Dict[str, Dict] = {}
-    for name in sorted(CONTENTION_SCENARIOS):
-        summary = run_scenario(build_scenario(name, seed=0)).summary()
-        pinned = reference[name]
-        drift = {
-            key: {"reference": value, "observed": summary.get(key)}
-            for key, value in pinned.items()
-            if summary.get(key) != value
-        }
-        if drift:
-            parity_drift[name] = drift
-    parity_exact = not parity_drift
 
     frontier_drift: Dict[str, List[str]] = {}
     for name, per_placement in sorted(frontier_reference["scenarios"].items()):
@@ -879,11 +808,8 @@ def run_kernel_bench(
         "cpu_count": os.cpu_count(),
         "baseline_commit": baseline["captured_at_commit"],
         "event_engine_commit": frontier_baseline["captured_at_commit"],
-        "kernel_parity_exact": parity_exact,
-        "kernel_parity_drift": parity_drift,
         "frontier_parity_exact": frontier_exact,
         "frontier_parity_drift": frontier_drift,
-        "scenarios_pinned": len(reference),
         "frontier_runs_pinned": sum(
             len(v) for v in frontier_reference["scenarios"].values()
         ),
@@ -903,15 +829,10 @@ def run_kernel_bench(
     }
     if output is not None:
         Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    if not parity_exact:
-        raise AssertionError(
-            "array-kernel parity drift: the SoA kernel no longer reproduces "
-            f"the pre-refactor scenario summaries exactly ({parity_drift})"
-        )
     if not frontier_exact:
         raise AssertionError(
-            "event-frontier parity drift: the frontier engine no longer "
-            "reproduces the per-pod-event engine's results exactly "
+            "golden fingerprint drift: the simulator no longer reproduces "
+            "frontier_parity_reference.json exactly "
             f"({frontier_drift})"
         )
     floor = 2.0

@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import BanditWare, CyclesWorkload, ToleranceConfig, synthetic_catalog
-from repro.cluster import BestFitScheduler, ClusterSimulator, Node
+from repro.cluster import BestFit, ClusterSimulator, Node
+from repro.cluster.scheduler import Scheduler
 from repro.workloads import TraceGenerator
 
 
@@ -36,7 +37,7 @@ def build_cluster(workload, catalog, seed):
         workload=workload,
         catalog=catalog,
         nodes=nodes,
-        scheduler=BestFitScheduler(),
+        scheduler=Scheduler(placement=BestFit()),
         seed=seed,
     )
 

@@ -63,7 +63,6 @@ from repro.cluster.placement import (
 from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.scheduler import (
     BackfillScheduler,
-    BestFitScheduler,
     FIFOScheduler,
     PreemptionDecision,
     PriorityScheduler,
@@ -94,7 +93,6 @@ __all__ = [
     "PodPhase",
     "FIFOScheduler",
     "BackfillScheduler",
-    "BestFitScheduler",
     "PriorityScheduler",
     "PreemptionDecision",
     "SchedulingDecision",

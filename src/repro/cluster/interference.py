@@ -13,8 +13,9 @@ every topology change (pod start/finish, preemption, autoscale provision or
 drain), re-integrates each running pod's progress at its previous rate, and
 reschedules its tentative finish event at the new rate -- see the simulator's
 progress-based execution engine.  Models therefore only need to answer one
-pure question: *given this pod, this node, and these co-residents, how fast
-does the pod run right now?*
+pure question: *given this node and the pods running on it, how fast does
+each of them run right now?*  :meth:`InterferenceModel.node_speeds` is that
+question and the whole contract.
 
 Invariants every model must satisfy (validated by the simulator):
 
@@ -39,9 +40,10 @@ import numpy as np
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod
 
-#: Pre-extracted resident requests for the batched path: ``(cpus, memory_gb,
-#: gpus)`` arrays aligned with the pod sequence, gathered from the cluster's
-#: flat state so batched evaluation needs no per-pod attribute walks.
+#: Pre-extracted resident requests for :meth:`InterferenceModel.node_speeds`:
+#: ``(cpus, memory_gb, gpus)`` arrays aligned with the pod sequence, gathered
+#: from the cluster's flat state so evaluation needs no per-pod attribute
+#: walks.
 RequestArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 __all__ = [
@@ -49,51 +51,7 @@ __all__ = [
     "NoInterference",
     "LinearSlowdown",
     "CapacityContention",
-    "uses_batched_speeds",
 ]
-
-
-def uses_batched_speeds(model: "InterferenceModel") -> bool:
-    """Whether ``model.node_speeds`` may be dispatched instead of ``speed``.
-
-    Batched dispatch is only sound when the class providing ``node_speeds``
-    is at least as derived as the class providing ``speed``: a subclass of a
-    built-in model that overrides ``speed()`` alone would otherwise inherit
-    the built-in's closed-form ``node_speeds`` and have its override
-    silently ignored.  Such models (and models that never override
-    ``node_speeds``) keep the per-pod scalar call pattern verbatim via
-    ``InterferenceModel.node_speeds``.
-    """
-    cls = type(model)
-    speed_owner = None
-    node_speeds_owner = None
-    for klass in cls.__mro__:
-        if speed_owner is None and "speed" in vars(klass):
-            speed_owner = klass
-        if node_speeds_owner is None and "node_speeds" in vars(klass):
-            node_speeds_owner = klass
-    return (
-        node_speeds_owner is not None
-        and node_speeds_owner is not InterferenceModel
-        and (speed_owner is None or issubclass(node_speeds_owner, speed_owner))
-    )
-
-
-def _co_resident_utilisation(node: Node, co_residents: Sequence[Pod]) -> float:
-    """The co-residents' bottleneck utilisation fraction of ``node``.
-
-    The fraction of each resource dimension allocated to the *other* pods on
-    the node, taking the maximum across dimensions (GPU only when the node
-    has GPUs): the most contended shared resource is the one that hurts.
-    """
-    if not co_residents:
-        return 0.0
-    cpus = sum(p.request.cpus for p in co_residents) / node.cpus
-    memory = sum(p.request.memory_gb for p in co_residents) / node.memory_gb
-    fractions = [cpus, memory]
-    if node.gpus:
-        fractions.append(sum(p.request.gpus for p in co_residents) / node.gpus)
-    return max(fractions)
 
 
 def _request_arrays(pods: Sequence[Pod]) -> RequestArrays:
@@ -108,30 +66,17 @@ class InterferenceModel(abc.ABC):
     """How co-located pods perturb each other's progress rate."""
 
     @abc.abstractmethod
-    def speed(self, pod: Pod, node: Node, co_residents: Sequence[Pod]) -> float:
-        """Progress rate of ``pod`` on ``node`` given its ``co_residents``.
-
-        Returns work-seconds completed per wall-clock second, in ``(0, 1]``.
-        ``co_residents`` are the *other* pods currently running on ``node``
-        (never includes ``pod`` itself).  Must return exactly ``1.0`` when
-        ``co_residents`` is empty.
-        """
-
     def node_speeds(
         self,
         node: Node,
         pods: Sequence[Pod],
         requests: Optional[RequestArrays] = None,
     ) -> np.ndarray:
-        """Progress rates of **all** of a node's residents at once.
+        """Progress rates of **all** of ``node``'s residents ``pods`` at once.
 
-        The array kernel's batched entry point: one call per topology
-        change replaces k per-pod :meth:`speed` calls (each of which
-        rebuilt a k-1 co-resident list).  The default implementation falls
-        back to the per-pod loop so custom third-party models keep working
-        unchanged; the built-in models override it with closed-form array
-        math that reproduces the scalar path bit for bit on the
-        integer-valued requests every catalog uses.
+        Returns one rate per pod, aligned with ``pods``, each in ``(0, 1]``
+        work-seconds per wall-clock second.  A pod running alone
+        (``len(pods) == 1``) must get exactly ``1.0``.
 
         ``requests`` optionally carries the residents' pre-extracted
         ``(cpus, memory_gb, gpus)`` arrays (from
@@ -139,11 +84,6 @@ class InterferenceModel(abc.ABC):
         models that only need request totals can then skip touching the pod
         objects entirely.
         """
-        speeds = np.empty(len(pods), dtype=np.float64)
-        for i, pod in enumerate(pods):
-            others = [p for p in pods if p is not pod]
-            speeds[i] = self.speed(pod, node, others)
-        return speeds
 
 
 @dataclass(frozen=True)
@@ -153,9 +93,6 @@ class NoInterference(InterferenceModel):
     Every pod always runs at full speed, so observed runtimes equal the
     drawn ground truth bit-for-bit -- the parity suite pins this.
     """
-
-    def speed(self, pod: Pod, node: Node, co_residents: Sequence[Pod]) -> float:
-        return 1.0
 
     def node_speeds(
         self,
@@ -228,33 +165,25 @@ class LinearSlowdown(InterferenceModel):
             node.interference_class, 1.0
         )
 
-    def speed(self, pod: Pod, node: Node, co_residents: Sequence[Pod]) -> float:
-        return 1.0 / (
-            1.0 + self.node_alpha(node) * _co_resident_utilisation(node, co_residents)
-        )
-
     def node_speeds(
         self,
         node: Node,
         pods: Sequence[Pod],
         requests: Optional[RequestArrays] = None,
     ) -> np.ndarray:
-        """Batched form of :meth:`speed` for every resident of ``node``.
+        """Each pod's co-resident total is the node total minus its own request.
 
-        Each pod's co-resident total is the node total minus its own
-        request (exact for the integer-valued requests catalogs use, which
-        is what makes this bit-identical to the sequential per-pod sums of
-        the scalar path); the bottleneck fraction and the linear slowdown
-        are then one elementwise expression.
+        That subtraction is exact for the integer-valued requests catalogs
+        use; the bottleneck fraction and the linear slowdown are then one
+        elementwise expression.
         """
         k = len(pods)
         if k == 0:
             return np.empty(0, dtype=np.float64)
-        cpus, mem, gpus = requests if requests is not None else _request_arrays(pods)
         if k == 1:
-            # Solo pods short-circuit to exactly 1.0, mirroring the scalar
-            # path's u = 0 -> 1/(1 + a*0) == 1.0.
+            # Solo pods short-circuit to exactly 1.0 (u = 0 -> 1/(1 + a*0)).
             return np.ones(1, dtype=np.float64)
+        cpus, mem, gpus = requests if requests is not None else _request_arrays(pods)
         co_cpus = (int(cpus.sum()) - cpus) / node.cpus
         co_mem = (float(mem.sum()) - mem) / node.memory_gb
         u = np.maximum(co_cpus, co_mem)
@@ -299,36 +228,16 @@ class CapacityContention(InterferenceModel):
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
 
-    def speed(self, pod: Pod, node: Node, co_residents: Sequence[Pod]) -> float:
-        if not co_residents:
-            return 1.0
-        residents = [pod, *co_residents]
-        factors = []
-        for capacity, fraction, total in (
-            (node.cpus, self.cpu_fraction, sum(p.request.cpus for p in residents)),
-            (
-                node.memory_gb,
-                self.memory_fraction,
-                sum(p.request.memory_gb for p in residents),
-            ),
-            (node.gpus, self.gpu_fraction, sum(p.request.gpus for p in residents)),
-        ):
-            if capacity and total:
-                factors.append(min(1.0, (fraction * capacity) / total))
-        return min(factors) if factors else 1.0
-
     def node_speeds(
         self,
         node: Node,
         pods: Sequence[Pod],
         requests: Optional[RequestArrays] = None,
     ) -> np.ndarray:
-        """Batched form of :meth:`speed` for every resident of ``node``.
+        """The throttle depends only on the node-wide allocation totals.
 
-        The throttle depends only on the node-wide allocation totals
-        (which include the pod itself), so all k residents share one
-        speed: compute it once, broadcast, done -- versus the scalar
-        path's k re-summations of the same totals.
+        Those totals include the pod itself, so all k residents share one
+        speed: compute it once and broadcast it.
         """
         k = len(pods)
         if k == 0:

@@ -9,9 +9,9 @@ Scheduling on this cluster is two independent questions:
   go?  That axis lives here.
 
 Before this module the answer to the second question was baked into each
-scheduler (`FIFOScheduler` hard-coded first-fit, `BestFitScheduler`
-hard-coded best-fit), so evaluating "priority scheduling with spread
-placement" meant writing a new scheduler class.  Now every
+scheduler class (first-fit for FIFO, best-fit for a dedicated best-fit
+scheduler), so evaluating "priority scheduling with spread placement" meant
+writing a new scheduler class.  Now every
 :class:`~repro.cluster.scheduler.Scheduler` composes with any
 :class:`PlacementPolicy`, and the cluster's interference model becomes a
 placement *input*: :class:`LeastSlowdown` scores candidate nodes by the
@@ -23,8 +23,8 @@ Every policy is a frozen dataclass (picklable, sweep-able over process
 pools) and must be **deterministic**: ties are broken by cluster order or
 node name, never by iteration order of a set or dict.  :class:`FirstFit` is
 the default everywhere and reproduces the pre-refactor schedulers bit for
-bit -- the placement parity suite pins this against reference values
-captured before the refactor.
+bit -- the frontier fingerprint's ``first-fit`` runs
+(``benchmarks/frontier_parity_reference.json``) pin this.
 """
 
 from __future__ import annotations
@@ -33,11 +33,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
-from repro.cluster.interference import (  # noqa: F401
-    InterferenceModel,
-    NoInterference,
-    uses_batched_speeds,
-)
+from repro.cluster.interference import InterferenceModel, NoInterference
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod
 
@@ -267,33 +263,18 @@ class LeastSlowdown(PlacementPolicy):
     ) -> Optional[Node]:
         context = context if context is not None else PlacementContext()
         model = context.interference
-        # Built-in models override node_speeds with closed-form array math:
-        # one batched call scores a node's whole hypothetical resident set.
-        # Custom models that only implement speed() -- including subclasses
-        # of the built-ins that override speed() alone -- keep the scalar
-        # loop verbatim, preserving their exact call pattern (and
-        # co-resident ordering) from before the array kernel.
-        batched = uses_batched_speeds(model)
         best: Optional[Node] = None
         best_key = None
         for index, node in enumerate(nodes):
             if not node.fits(pod.request):
                 continue
-            residents = list(context.residents(node))
-            if batched:
-                speeds = model.node_speeds(node, [pod, *residents])
-                # Accumulate the excess slowdown sequentially in the same
-                # order as the scalar loop (pod first, then residents), so
-                # the float sum -- and therefore every tie-break -- is
-                # bit-identical to the pre-kernel policy.
-                cost = 0.0
-                for s in speeds.tolist():
-                    cost += 1.0 / s - 1.0
-            else:
-                cost = 1.0 / model.speed(pod, node, residents) - 1.0
-                for i, resident in enumerate(residents):
-                    others = residents[:i] + residents[i + 1 :] + [pod]
-                    cost += 1.0 / model.speed(resident, node, others) - 1.0
+            speeds = model.node_speeds(node, [pod, *context.residents(node)])
+            # Accumulate the excess slowdown sequentially, pod first and then
+            # residents in allocation order: the float sum -- and therefore
+            # every tie-break -- depends on this order.
+            cost = 0.0
+            for s in speeds.tolist():
+                cost += 1.0 / s - 1.0
             key = (cost, index)
             if best_key is None or key < best_key:
                 best, best_key = node, key

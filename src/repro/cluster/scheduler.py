@@ -5,10 +5,9 @@ queue (FIFO head-of-line blocking, backfill skip-ahead, priority classes
 with preemption).  **Which node** is a separate, orthogonal axis answered
 by a pluggable :class:`~repro.cluster.placement.PlacementPolicy`; every
 scheduler composes with any placement via the ``placement=`` constructor
-argument, and defaults to the policy that reproduces its pre-refactor
-behaviour bit for bit (:class:`~repro.cluster.placement.FirstFit` for the
-FIFO family, :class:`~repro.cluster.placement.BestFit` for
-:class:`BestFitScheduler`).
+argument, and defaults to :class:`~repro.cluster.placement.FirstFit`,
+which reproduces the pre-refactor behaviour bit for bit.  Best-fit backfill
+is ``Scheduler(placement=BestFit())``.
 """
 
 from __future__ import annotations
@@ -18,12 +17,7 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.node import Node
-from repro.cluster.placement import (
-    BestFit,
-    FirstFit,
-    PlacementContext,
-    PlacementPolicy,
-)
+from repro.cluster.placement import FirstFit, PlacementContext, PlacementPolicy
 from repro.cluster.pod import Pod
 
 __all__ = [
@@ -32,7 +26,6 @@ __all__ = [
     "Scheduler",
     "FIFOScheduler",
     "BackfillScheduler",
-    "BestFitScheduler",
     "PriorityScheduler",
 ]
 
@@ -89,9 +82,8 @@ class Scheduler(abc.ABC):
     ----------
     placement:
         The node-choice policy (see :mod:`repro.cluster.placement`).
-        Defaults to the scheduler's :meth:`default_placement` --
-        first-fit unless a subclass says otherwise -- which keeps every
-        scheduler's historical behaviour intact.
+        Defaults to :class:`~repro.cluster.placement.FirstFit`, which keeps
+        every scheduler's historical behaviour intact.
     """
 
     #: Queue discipline: when true, a pending pod that cannot be placed blocks
@@ -107,12 +99,7 @@ class Scheduler(abc.ABC):
     supports_preemption: bool = False
 
     def __init__(self, placement: Optional[PlacementPolicy] = None):
-        self.placement = placement if placement is not None else self.default_placement()
-
-    @classmethod
-    def default_placement(cls) -> PlacementPolicy:
-        """The placement policy used when none is injected."""
-        return FirstFit()
+        self.placement = placement if placement is not None else FirstFit()
 
     def select_node(
         self,
@@ -197,22 +184,6 @@ class BackfillScheduler(FIFOScheduler):
     """
 
     head_of_line_blocking = False
-
-
-class BestFitScheduler(Scheduler):
-    """Backfill service order with best-fit placement by default.
-
-    Kept as a named class for backwards compatibility: it is exactly
-    ``Scheduler(placement=BestFit())``.  Best-fit keeps large contiguous
-    capacity free for large requests, which reduces head-of-line blocking
-    when workloads with mixed resource requests share the cluster.
-    Tie-breaking between equal-fit nodes is deterministic on
-    ``(leftover, node.name)`` -- see :class:`~repro.cluster.placement.BestFit`.
-    """
-
-    @classmethod
-    def default_placement(cls) -> PlacementPolicy:
-        return BestFit()
 
 
 class PriorityScheduler(FIFOScheduler):

@@ -35,11 +35,7 @@ from repro.cluster.events import (
     Event,
     EventQueue,
 )
-from repro.cluster.interference import (
-    InterferenceModel,
-    NoInterference,
-    uses_batched_speeds,
-)
+from repro.cluster.interference import InterferenceModel, NoInterference
 from repro.cluster.node import InsufficientCapacityError, Node
 from repro.cluster.placement import PlacementContext
 from repro.cluster.pod import Pod, PodPhase
@@ -189,10 +185,6 @@ class ClusterSimulator:
         self._state = ClusterState(node_capacity=max(len(self.nodes), 4))
         for node in self.nodes:
             self._state.adopt_node(node)
-        # Models whose node_speeds override is MRO-consistent with speed()
-        # get batched dispatch; anything else keeps the per-pod scalar call
-        # pattern via InterferenceModel.node_speeds.
-        self._batched_interference = uses_batched_speeds(self.interference)
         # Incrementally maintained co-residency: node name -> running pods in
         # allocation order, updated on start/finish/preempt/provision/drain
         # instead of being rebuilt from the allocation dicts on every
@@ -513,15 +505,9 @@ class ClusterSimulator:
         pods = [state.pods[i] for i in indices]
         ia = np.asarray(indices, dtype=np.intp)
         requests = (state.req_cpus[ia], state.req_mem[ia], state.req_gpus[ia])
-        if self._batched_interference:
-            speeds = np.asarray(
-                self.interference.node_speeds(node, pods, requests), dtype=np.float64
-            )
-        else:
-            # Force the base-class fallback: per-pod speed() calls in the
-            # exact pre-kernel pattern, so models that override speed()
-            # alone (including subclasses of the built-ins) are honoured.
-            speeds = InterferenceModel.node_speeds(self.interference, node, pods)
+        speeds = np.asarray(
+            self.interference.node_speeds(node, pods, requests), dtype=np.float64
+        )
         invalid = ~((speeds > 0.0) & (speeds <= 1.0))
         if invalid.any():
             i = int(np.argmax(invalid))

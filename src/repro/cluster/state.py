@@ -31,8 +31,8 @@ views over these arrays once *adopted* (bound) by a state store:
 **Exactness.**  The arrays hold the same float64 values the per-object
 engine held; batched updates use elementwise operations in the same order
 as the scalar code, so results are bit-identical on every registered
-scenario (pinned by ``benchmarks/kernel_parity_reference.json``, the
-kernel-parity tests, CI, and ``bench_engine.py --suite kernel``).
+scenario (pinned by the golden fingerprint,
+``benchmarks/frontier_parity_reference.json``).
 
 ``NaN`` encodes ``None`` for the optional per-pod floats (``speed`` and the
 last-integration timestamp): the simulator's rate-unchanged check

@@ -114,10 +114,6 @@ class ArmModel(abc.ABC):
         X = check_feature_matrix(X, name="X", n_features=self.n_features)
         return X @ self.coefficients + self.intercept
 
-    def predict_many(self, X: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-        """Alias of :meth:`predict_batch` (kept for backwards compatibility)."""
-        return self.predict_batch(X)
-
     def update_batch(
         self,
         X: Sequence[Sequence[float]] | np.ndarray,

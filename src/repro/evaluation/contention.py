@@ -198,7 +198,7 @@ class ContentionScenario:
     #: placement axis, orthogonal to the scheduler's queue discipline).
     #: ``None`` keeps the scheduler's own default -- first-fit for every
     #: registered scenario, which is bit-identical to the pre-placement
-    #: engine (pinned by the placement parity suite).
+    #: engine (pinned by the golden fingerprint's ``first-fit`` runs).
     placement: Optional[PlacementPolicy] = None
 
     def __post_init__(self) -> None:

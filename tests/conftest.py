@@ -36,6 +36,11 @@ def constant_workload(runtimes, name="const"):
     )
 
 
+def resident_speed(model, pod, node, others):
+    """``pod``'s progress rate on ``node`` alongside ``others`` under ``model``."""
+    return model.node_speeds(node, [pod, *others])[0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import (
     BackfillScheduler,
-    BestFitScheduler,
+    BestFit,
     ClusterSimulator,
     EventQueue,
     FIFOScheduler,
@@ -14,6 +14,7 @@ from repro.cluster import (
     Pod,
     PodPhase,
 )
+from repro.cluster.scheduler import Scheduler
 from repro.hardware import HardwareCatalog, HardwareConfig, ndp_catalog
 from repro.utils.logging import EventLog
 from repro.workloads import CyclesWorkload
@@ -307,19 +308,19 @@ class TestSchedulers:
 
     def test_best_fit_prefers_tightest_node(self, request_small):
         nodes = [Node("roomy", cpus=32, memory_gb=128), Node("tight", cpus=2, memory_gb=16)]
-        decision = BestFitScheduler().schedule(Pod("p", request_small), nodes)
+        decision = Scheduler(placement=BestFit()).schedule(Pod("p", request_small), nodes)
         assert decision.node_name == "tight"
 
     def test_best_fit_no_capacity(self, request_large):
         nodes = [Node("a", cpus=2, memory_gb=8)]
-        decision = BestFitScheduler().select_node(Pod("p", request_large), nodes)
+        decision = Scheduler(placement=BestFit()).select_node(Pod("p", request_large), nodes)
         assert decision.node_name is None
 
     def test_queue_disciplines(self):
         # FIFO preserves strict service order; backfill and best-fit skip ahead.
         assert FIFOScheduler().head_of_line_blocking
         assert not BackfillScheduler().head_of_line_blocking
-        assert not BestFitScheduler().head_of_line_blocking
+        assert not Scheduler(placement=BestFit()).head_of_line_blocking
 
     def test_backfill_places_like_fifo(self, request_small):
         nodes = [Node("a", cpus=1, memory_gb=4), Node("b", cpus=8, memory_gb=32)]
@@ -541,7 +542,7 @@ class TestRunWorkloadFeasibility:
     def test_best_fit_reports_its_own_node_choice(self):
         sim = self._cluster(
             [Node("roomy", cpus=32, memory_gb=128), Node("tight", cpus=2, memory_gb=16)],
-            scheduler=BestFitScheduler(),
+            scheduler=Scheduler(placement=BestFit()),
         )
         run = sim.run_workload({"num_tasks": 100}, "H0")  # H0 needs 2 CPUs
         assert run.node == "tight"

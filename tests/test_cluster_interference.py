@@ -1,5 +1,6 @@
 """Progress-based execution and pluggable interference models."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -7,6 +8,7 @@ from repro.cluster import (
     CapacityContention,
     ClusterSimulator,
     FIFOScheduler,
+    InterferenceModel,
     LinearSlowdown,
     Node,
     NoInterference,
@@ -17,7 +19,7 @@ from repro.cluster import (
 from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.workloads import LinearRuntimeWorkload
 
-from conftest import constant_workload as _constant_workload
+from conftest import constant_workload as _constant_workload, resident_speed
 
 _CATALOG = HardwareCatalog(
     [
@@ -58,40 +60,50 @@ class TestInterferenceModels:
     def test_solo_pod_runs_at_full_speed_in_every_model(self):
         node = Node("n", cpus=8, memory_gb=32)
         for model in (NoInterference(), LinearSlowdown(0.7), CapacityContention(0.5)):
-            assert model.speed(self._pod(), node, []) == 1.0
+            assert resident_speed(model, self._pod(), node, []) == 1.0
 
     def test_no_interference_ignores_neighbours(self):
         node = Node("n", cpus=8, memory_gb=32)
         others = [self._pod("big", "q"), self._pod("big", "r")]
-        assert NoInterference().speed(self._pod(), node, others) == 1.0
+        assert resident_speed(NoInterference(), self._pod(), node, others) == 1.0
 
     def test_linear_slowdown_scales_with_co_resident_utilisation(self):
         node = Node("n", cpus=8, memory_gb=32)
         one = [self._pod("small", "q")]  # 2/8 cpus = 0.25
         two = [self._pod("small", "q"), self._pod("big", "r")]  # 6/8 = 0.75
         model = LinearSlowdown(alpha=1.0)
-        assert model.speed(self._pod(), node, one) == pytest.approx(1 / 1.25)
-        assert model.speed(self._pod(), node, two) == pytest.approx(1 / 1.75)
-        assert model.speed(self._pod(), node, two) < model.speed(self._pod(), node, one)
+        with_one = resident_speed(model, self._pod(), node, one)
+        with_two = resident_speed(model, self._pod(), node, two)
+        assert with_one == pytest.approx(1 / 1.25)
+        assert with_two == pytest.approx(1 / 1.75)
+        assert with_two < with_one
 
     def test_linear_slowdown_uses_bottleneck_dimension(self):
         # Memory is the contended resource here: 24/32 GiB vs 4/16 CPUs.
         node = Node("n", cpus=16, memory_gb=32)
         hog = Pod("q", HardwareConfig("memhog", cpus=4, memory_gb=24))
         expected = 1 / (1 + 0.5 * (24 / 32))
-        assert LinearSlowdown(0.5).speed(self._pod(), node, [hog]) == pytest.approx(expected)
+        speed = resident_speed(LinearSlowdown(0.5), self._pod(), node, [hog])
+        assert speed == pytest.approx(expected)
 
     def test_capacity_contention_throttles_past_usable_fraction(self):
         node = Node("n", cpus=8, memory_gb=64)
         model = CapacityContention(cpu_fraction=0.5)  # 4 usable CPUs shared
         others = [self._pod("big", "q")]  # total 2 + 4 = 6 > 4
-        assert model.speed(self._pod(), node, others) == pytest.approx(4 / 6)
+        assert resident_speed(model, self._pod(), node, others) == pytest.approx(4 / 6)
 
     def test_capacity_contention_below_threshold_is_free(self):
         node = Node("n", cpus=8, memory_gb=64)
         model = CapacityContention(cpu_fraction=0.75)  # 6 usable CPUs
         others = [self._pod("small", "q")]  # total 4 <= 6
-        assert model.speed(self._pod(), node, others) == 1.0
+        assert resident_speed(model, self._pod(), node, others) == 1.0
+
+    def test_node_speeds_is_the_required_contract(self):
+        class NoRates(InterferenceModel):
+            """A model that forgot to say how fast its pods run."""
+
+        with pytest.raises(TypeError, match="node_speeds"):
+            NoRates()
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -103,8 +115,8 @@ class TestInterferenceModels:
 
     def test_simulator_rejects_out_of_range_speed(self):
         class Bogus(NoInterference):
-            def speed(self, pod, node, co_residents):
-                return 2.0 if co_residents else 1.0
+            def node_speeds(self, node, pods, requests=None):
+                return np.full(len(pods), 2.0 if len(pods) > 1 else 1.0)
 
         sim = _cluster(interference=Bogus())
         sim.submit({"x": 0.0}, "small", at_time=0.0)
@@ -114,8 +126,8 @@ class TestInterferenceModels:
 
     def test_simulator_rejects_slowed_solo_pod(self):
         class Sluggish(NoInterference):
-            def speed(self, pod, node, co_residents):
-                return 0.5
+            def node_speeds(self, node, pods, requests=None):
+                return np.full(len(pods), 0.5)
 
         sim = _cluster(interference=Sluggish())
         sim.submit({"x": 0.0}, "small", at_time=0.0)

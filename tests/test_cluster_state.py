@@ -1,13 +1,11 @@
-"""The array kernel: parity pins, facade contract and re-integration edge cases.
+"""The array kernel: facade contract and re-integration edge cases.
 
 The structure-of-arrays refactor (:mod:`repro.cluster.state`) promised two
 things: the flat arrays are *invisible* through the public ``Pod``/``Node``
 facades, and every registered scenario reproduces the pre-refactor engine
-bit for bit.  This suite pins both:
+bit for bit.  The second is pinned by the golden fingerprint
+(``tests/test_cluster_frontier.py::TestFrontierParity``); this suite pins:
 
-* the seed-0 summary of every scenario in ``CONTENTION_SCENARIOS`` equals
-  ``benchmarks/kernel_parity_reference.json`` exactly (captured *before*
-  the refactor; never regenerate it from a post-refactor engine);
 * the incrementally maintained co-residency map / cached placement context
   makes the same placement decisions as a context rebuilt from scratch on
   every call;
@@ -20,9 +18,6 @@ bit for bit.  This suite pins both:
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,51 +36,8 @@ from repro.cluster import (
     Pod,
     PodPhase,
 )
-from repro.evaluation.contention import (
-    CONTENTION_SCENARIOS,
-    build_scenario,
-    run_scenario,
-)
 from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.workloads import LinearRuntimeWorkload
-
-REFERENCE_PATH = (
-    Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_parity_reference.json"
-)
-
-
-# ---------------------------------------------------------------------- #
-# Kernel parity pins
-# ---------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def parity_reference():
-    with open(REFERENCE_PATH) as handle:
-        return json.load(handle)
-
-
-@pytest.mark.parametrize("name", sorted(CONTENTION_SCENARIOS))
-def test_scenario_pinned_to_pre_refactor_reference(name, parity_reference):
-    """Every registered scenario reproduces the pre-refactor engine exactly.
-
-    The reference summaries were captured from the per-object engine before
-    the array kernel landed; equality here is ``==`` on every float, not
-    approx -- the kernel's batched math must be bit-identical.
-    """
-    summary = run_scenario(build_scenario(name, seed=0)).summary()
-    reference = parity_reference[name]
-    assert set(summary) == set(reference)
-    drifted = {
-        key: (summary[key], reference[key])
-        for key in reference
-        if summary[key] != reference[key]
-    }
-    assert not drifted, f"scenario {name!r} drifted from the pre-refactor engine: {drifted}"
-
-
-def test_parity_reference_covers_every_registered_scenario(parity_reference):
-    """New scenarios must be captured into the reference (pre-refactor rule:
-    capture with the current engine *before* touching the kernel)."""
-    assert set(parity_reference) == set(CONTENTION_SCENARIOS)
 
 
 # ---------------------------------------------------------------------- #

@@ -46,12 +46,6 @@ class TestLeastSquaresModel:
         x = np.array([3.0, 4.0])
         assert model.predict(x) == pytest.approx(model.coefficients @ x + model.intercept)
 
-    def test_predict_many(self, rng):
-        X, y = _generate_linear_data(rng)
-        model = LeastSquaresModel(2).fit(X, y)
-        preds = model.predict_many(X[:5])
-        assert preds.shape == (5,)
-
     def test_predict_batch_matches_per_row_predict(self, rng):
         X, y = _generate_linear_data(rng)
         for model in (

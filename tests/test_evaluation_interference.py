@@ -1,8 +1,5 @@
 """Interference-aware scenario evaluation and the NoInterference parity pin."""
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -17,44 +14,13 @@ from repro.evaluation import (
 )
 
 
-#: Fixed-finish engine reference values, shared with the interference
-#: benchmark's hard parity assertion so the two pins cannot diverge.
-_PARITY_PIN = json.loads(
-    (
-        Path(__file__).resolve().parent.parent
-        / "benchmarks"
-        / "interference_parity_reference.json"
-    ).read_text()
-)
-
-
 class TestNoInterferenceExactParity:
     """The progress-based engine must be bit-identical to the pre-refactor
     fixed-finish engine under the null model.  The values below were
     captured from the fixed-finish engine immediately before the refactor;
-    any drift in decisions, runtimes or regret is a regression."""
-
-    # Fixed-finish engine, saturated seed=0 (queued path, FIFO).
-    _SATURATED_DECISIONS = [
-        "H2", "H1", "H0", "H4", "H4", "H3", "H1", "H4", "H2", "H0",
-        "H0", "H4", "H2", "H2", "H0", "H3", "H3", "H1", "H1", "H1",
-        "H4", "H3", "H2", "H3", "H2", "H1", "H1", "H2", "H1", "H1",
-        "H3", "H0", "H1", "H0", "H1", "H1", "H0", "H2", "H3", "H1",
-    ]
-
-    def test_saturated_seed0_is_bit_identical_to_fixed_finish_engine(self):
-        result = run_scenario(
-            build_scenario(_PARITY_PIN["scenario"], seed=_PARITY_PIN["seed"])
-        )
-        outcome = result.tenants["sweep-campaign"]
-        assert outcome.decisions == self._SATURATED_DECISIONS
-        assert outcome.runtimes[0] == 6.086434041498685
-        assert outcome.runtimes[1] == 21.462081448462836
-        assert outcome.runtimes[2] == 444.45040960773684
-        assert outcome.runtimes[-1] == 142.87389111939873
-        summary = result.summary()
-        for key, value in _PARITY_PIN["summary"].items():
-            assert summary[key] == value, f"NoInterference parity drift in {key}"
+    any drift in decisions, runtimes or regret is a regression.  The
+    saturated seed-0 run is pinned by the golden fingerprint
+    (``tests/test_cluster_frontier.py::TestFrontierParity``)."""
 
     def test_zero_contention_seed1_is_bit_identical_to_fixed_finish_engine(self):
         result = run_scenario(build_scenario("zero-contention", seed=1))
