@@ -16,6 +16,7 @@ from repro.cluster import (
     PodPhase,
     PriorityScheduler,
 )
+from repro.evaluation.contention import CONTENTION_SCENARIOS, build_scenario
 from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.workloads import LinearRuntimeWorkload
 
@@ -133,6 +134,134 @@ class TestInterferenceModels:
         sim.submit({"x": 0.0}, "small", at_time=0.0)
         with pytest.raises(ValueError, match="solo pods"):
             sim.run_until_idle()
+
+
+# --------------------------------------------------------------------- #
+# node_speeds against a per-pod oracle
+# --------------------------------------------------------------------- #
+def _oracle_speed(model, node, pods, i):
+    """Pod ``i``'s rate recomputed pod by pod from the documented formula.
+
+    Plain Python over the pod objects, sharing no code with the models'
+    vectorised ``node_speeds``: it is the independent second copy of each
+    formula that pins what the single contract computes.
+    """
+    if len(pods) == 1 or isinstance(model, NoInterference):
+        return 1.0
+    if isinstance(model, LinearSlowdown):
+        others = [p.request for j, p in enumerate(pods) if j != i]
+        u = max(
+            sum(r.cpus for r in others) / node.cpus,
+            sum(r.memory_gb for r in others) / node.memory_gb,
+        )
+        if node.gpus:
+            u = max(u, sum(r.gpus for r in others) / node.gpus)
+        weight = dict(model.class_weights or ()).get(node.interference_class, 1.0)
+        return 1.0 / (1.0 + model.alpha * weight * u)
+    if isinstance(model, CapacityContention):
+        speed = 1.0
+        for capacity, fraction, attr in (
+            (node.cpus, model.cpu_fraction, "cpus"),
+            (node.memory_gb, model.memory_fraction, "memory_gb"),
+            (node.gpus, model.gpu_fraction, "gpus"),
+        ):
+            allocated = sum(getattr(p.request, attr) for p in pods)
+            if capacity and allocated:
+                speed = min(speed, min(1.0, (fraction * capacity) / allocated))
+        return speed
+    raise TypeError(f"no oracle for {type(model).__name__}")
+
+
+_ORACLE_MODELS = {
+    "none": NoInterference(),
+    "linear": LinearSlowdown(alpha=0.5),
+    "linear-weighted": LinearSlowdown(alpha=1.3, class_weights={"io": 2.5, "numa": 0.25}),
+    "capacity": CapacityContention(),
+    "capacity-all-dims": CapacityContention(
+        cpu_fraction=0.5, memory_fraction=0.6, gpu_fraction=0.5
+    ),
+}
+
+_ORACLE_NODES = (
+    Node("cpu", cpus=8, memory_gb=32),
+    Node("gpu", cpus=16, memory_gb=64, gpus=4),
+    Node("io", cpus=8, memory_gb=32, interference_class="io"),
+    Node("numa", cpus=16, memory_gb=64, interference_class="numa"),
+)
+
+_ORACLE_CONFIGS = (
+    HardwareConfig("c2", cpus=2, memory_gb=8),
+    HardwareConfig("c4", cpus=4, memory_gb=12),
+    HardwareConfig("m1", cpus=1, memory_gb=24),
+    HardwareConfig("g1", cpus=4, memory_gb=16, gpus=1),
+    HardwareConfig("g2", cpus=2, memory_gb=8, gpus=2),
+)
+
+
+def _resident_sets(configs):
+    """Resident lists of 0 to 6 pods cycling through ``configs``."""
+    configs = list(configs)
+    for k in range(7):
+        for start in range(len(configs)):
+            yield [
+                Pod(f"p{j}", configs[(start + j) % len(configs)]) for j in range(k)
+            ]
+
+
+def _assert_matches_oracle(model, node, pods):
+    speeds = model.node_speeds(node, pods)
+    assert speeds.shape == (len(pods),)
+    expected = [_oracle_speed(model, node, pods, i) for i in range(len(pods))]
+    # Integer-valued requests keep every sum exact, so the vectorised
+    # formula and the per-pod one agree bit for bit.
+    assert speeds.tolist() == expected
+    assert all(0.0 < s <= 1.0 for s in expected)
+    if len(pods) == 1:
+        assert speeds[0] == 1.0
+
+
+class TestNodeSpeedsOracle:
+    @pytest.mark.parametrize("key", sorted(_ORACLE_MODELS))
+    def test_matches_per_pod_oracle(self, key):
+        model = _ORACLE_MODELS[key]
+        for node in _ORACLE_NODES:
+            for pods in _resident_sets(_ORACLE_CONFIGS):
+                _assert_matches_oracle(model, node, pods)
+
+    @pytest.mark.parametrize("key", sorted(_ORACLE_MODELS))
+    def test_prefetched_requests_match_pod_attributes(self, key):
+        """The simulator's flat-state arrays and the pod objects agree."""
+        model = _ORACLE_MODELS[key]
+        for node in _ORACLE_NODES:
+            for pods in _resident_sets(_ORACLE_CONFIGS):
+                requests = (
+                    np.array([p.request.cpus for p in pods], dtype=np.int64),
+                    np.array([p.request.memory_gb for p in pods], dtype=np.float64),
+                    np.array([p.request.gpus for p in pods], dtype=np.int64),
+                )
+                assert (
+                    model.node_speeds(node, pods, requests).tolist()
+                    == model.node_speeds(node, pods).tolist()
+                )
+
+    @pytest.mark.parametrize("key", sorted(_ORACLE_MODELS))
+    def test_reordering_residents_reorders_speeds(self, key):
+        """A pod's rate depends on who shares its node, not on list order."""
+        model = _ORACLE_MODELS[key]
+        for node in _ORACLE_NODES:
+            for pods in _resident_sets(_ORACLE_CONFIGS):
+                forward = model.node_speeds(node, pods).tolist()
+                backward = model.node_speeds(node, pods[::-1]).tolist()
+                assert backward == forward[::-1]
+
+    @pytest.mark.parametrize("name", sorted(CONTENTION_SCENARIOS))
+    def test_registered_scenario_model_matches_oracle(self, name):
+        """Each scenario's own model, nodes and catalog obey the contract."""
+        scenario = build_scenario(name)
+        model = scenario.interference or NoInterference()
+        for node in scenario.nodes:
+            for pods in _resident_sets(scenario.union_catalog()):
+                _assert_matches_oracle(model, node, pods)
 
 
 class TestProgressExecution:
