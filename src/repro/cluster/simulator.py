@@ -21,7 +21,7 @@ Two modes of use are supported:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,7 @@ from repro.cluster.events import (
 from repro.cluster.interference import InterferenceModel, NoInterference
 from repro.cluster.node import InsufficientCapacityError, Node
 from repro.cluster.placement import PlacementContext
-from repro.cluster.pod import Pod, PodPhase
+from repro.cluster.pod import Pod
 from repro.cluster.scheduler import FIFOScheduler, Scheduler
 from repro.cluster.state import ClusterState, KernelProfile
 from repro.hardware import HardwareCatalog, HardwareConfig

@@ -23,7 +23,7 @@ Historical data can seed the models before going online via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -396,7 +396,7 @@ class BanditWare:
         :meth:`observe` calls in the same order would leave behind: per-arm
         model data is ingested in arrival order and the policy hook runs once
         per observation.  Only the intermediate per-row model refits are
-        skipped (via :meth:`ArmModel.update_batch`), which is where the batch
+        skipped (via :meth:`ArmModel.update_vectors`), which is where the batch
         path earns its speedup.  All rows are validated before any state
         changes.
 
@@ -449,7 +449,7 @@ class BanditWare:
             per_arm_X.setdefault(arm, []).append(context)
             per_arm_y.setdefault(arm, []).append(target)
         for arm, rows in per_arm_X.items():
-            self._models[arm].update_batch(np.vstack(rows), per_arm_y[arm])
+            self._models[arm].update_vectors(rows, per_arm_y[arm])
         self._version += len(runtimes)
         for features, context, arm, target, runtime, queue, ratio in zip(
             features_batch, contexts, arms, targets, runtimes, queues, ratios

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -133,6 +133,19 @@ class ArmModel(abc.ABC):
             raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} values")
         for row, value in zip(X, y):
             self.update(row, float(value))
+
+    def update_vectors(
+        self, rows: Sequence[np.ndarray] | np.ndarray, targets: Sequence[float] | np.ndarray
+    ) -> None:
+        """Hot-path :meth:`update_batch` for already-validated rows/targets.
+
+        Callers (the BanditWare façade) guarantee every row is a finite 1-D
+        float array of length :attr:`n_features` and every target a finite
+        non-negative float, one per row.  The default stacks the rows and
+        delegates to :meth:`update_batch`.
+        """
+        if len(rows):
+            self.update_batch(np.vstack(rows), targets)
 
     def coefficient_dict(self, feature_names: Sequence[str]) -> Dict[str, float]:
         """Named coefficients ``{"w_<feature>": ..., "b": ...}``."""

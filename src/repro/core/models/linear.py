@@ -14,7 +14,7 @@ and is kept as the reference baseline for the engine benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -217,9 +217,14 @@ class LeastSquaresModel(ArmModel):
             raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} values")
         if y.size and (not np.all(np.isfinite(y)) or np.any(y < 0)):
             raise ValueError("y must contain finite non-negative runtimes")
-        for row, value in zip(X, y):
+        self.update_vectors(X, y)
+
+    def update_vectors(
+        self, rows: Sequence[np.ndarray] | np.ndarray, targets: Sequence[float] | np.ndarray
+    ) -> None:
+        for row, value in zip(rows, targets):
             self._ingest(row, float(value))
-        if len(y):
+        if len(targets):
             self._resolve()
 
     def fit(self, X: Sequence[Sequence[float]] | np.ndarray, y: Sequence[float] | np.ndarray) -> "LeastSquaresModel":

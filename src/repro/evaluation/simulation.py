@@ -39,8 +39,8 @@ batched:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 

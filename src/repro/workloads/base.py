@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -154,12 +154,34 @@ class WorkloadModel(abc.ABC):
         return expected, noise
 
 
+class _Runs(NamedTuple):
+    """A batch of generated runs, one entry per run in generation order."""
+
+    features: List[Dict[str, float]]
+    hardware: List[str]
+    runtimes: np.ndarray
+    columns: Dict[str, np.ndarray]
+
+
 class TraceGenerator:
     """Generate run-history tables from a workload model and hardware catalog.
 
     The paper starts from "a small dataset of application runs collected
     previously"; this class manufactures the equivalent synthetic dataset so
     experiments and benchmarks have a deterministic stand-in.
+
+    :meth:`generate_runs` and :meth:`generate_frame` produce exactly the
+    datasets a loop of :meth:`generate_run` calls would (same float bits, run
+    ids and generator state afterwards), but only the random draws stay per
+    row.  Phase 1 makes every row's RNG calls in ``generate_run``'s order,
+    drawing ``standard_normal()`` where ``generate_run`` draws
+    ``normal(mean, sigma)`` (numpy computes the latter as
+    ``mean + sigma * standard_normal()``).  Phase 2 takes every row's mean
+    and sigma from the workload's batched
+    :meth:`WorkloadModel.runtime_table` and applies the noise and the floor
+    of :meth:`WorkloadModel.observed_runtime` in arrays.  ``generate_run``
+    makes no noise draw when ``sigma <= 0``, so a batch with such a row is
+    rewound and replayed row by row.
 
     Parameters
     ----------
@@ -181,31 +203,109 @@ class TraceGenerator:
         self._counter += 1
         return f"{self.workload.name}-{self._counter:06d}"
 
+    def _record(self, features: Dict[str, float], hardware: str, runtime: float) -> RunRecord:
+        return RunRecord(
+            run_id=self._next_id(),
+            application=self.workload.name,
+            hardware=hardware,
+            runtime_seconds=runtime,
+            features=features,
+        )
+
     def generate_run(self, hardware: Optional[HardwareConfig] = None) -> RunRecord:
         """Sample one workflow and run it on ``hardware`` (random if omitted)."""
         features = self.workload.sample_features(self._rng)
         if hardware is None:
             hardware = self.catalog[int(self._rng.integers(len(self.catalog)))]
         runtime = self.workload.observed_runtime(features, hardware, self._rng)
-        return RunRecord(
-            run_id=self._next_id(),
-            application=self.workload.name,
-            hardware=hardware.name,
-            runtime_seconds=runtime,
-            features=features,
+        return self._record(features, hardware.name, runtime)
+
+    def _draw(self, n: int, hardware: Optional[HardwareConfig]) -> Optional[_Runs]:
+        """Draw ``n`` runs in two phases (see the class docstring).
+
+        Returns ``None``, with the generator rewound, when the runs must be
+        drawn row by row instead (also for ``n == 0``, which draws nothing).
+        """
+        workload = self.workload
+        if not n or type(workload).observed_runtime is not WorkloadModel.observed_runtime:
+            return None
+        rng = self._rng
+        saved = rng.bit_generator.state
+        sample = workload.sample_features
+        integers = rng.integers
+        normal = rng.standard_normal
+        n_arms = len(self.catalog)
+        workflows: List[Dict[str, float]] = []
+        arms: List[int] = []
+        draws: List[float] = []
+        # Phase 1: generate_run's RNG calls, in generate_run's order.
+        for _ in range(n):
+            workflows.append(sample(rng))
+            if hardware is None:
+                arms.append(int(integers(n_arms)))
+            draws.append(normal())
+        if hardware is None:
+            arm_configs = self.catalog.configs
+            arm_of = np.asarray(arms, dtype=np.intp)
+        else:
+            arm_configs = [hardware]
+            arm_of = np.zeros(n, dtype=np.intp)
+        names = workflows[0].keys()
+        if any(features.keys() != names for features in workflows):
+            # No shared feature columns to batch over.
+            rng.bit_generator.state = saved
+            return None
+        columns = {
+            name: np.array([features[name] for features in workflows], dtype=float)
+            for name in names
+        }
+        # Phase 2: each run's mean and sigma, on its own arm only.
+        mean = np.empty(n)
+        sigma = np.empty(n)
+        for j, hw in enumerate(arm_configs):
+            rows = np.flatnonzero(arm_of == j)
+            if rows.size:
+                expected, noise = workload.runtime_table(
+                    {name: values[rows] for name, values in columns.items()},
+                    HardwareCatalog([hw]),
+                )
+                mean[rows] = expected[:, 0]
+                sigma[rows] = noise[:, 0]
+        if not np.all(sigma > 0):
+            rng.bit_generator.state = saved
+            return None
+        # max(value, 0.01 * mean, 0.0) as Python evaluates it: a later
+        # argument replaces the current one only when strictly greater.
+        runtimes = mean + sigma * np.asarray(draws)
+        floor = 0.01 * mean
+        runtimes = np.where(floor > runtimes, floor, runtimes)
+        runtimes = np.where(0.0 > runtimes, 0.0, runtimes)
+        return _Runs(
+            features=workflows,
+            hardware=[arm_configs[j].name for j in arm_of.tolist()],
+            runtimes=runtimes,
+            columns=columns,
         )
 
     def generate_runs(self, n: int, hardware: Optional[HardwareConfig] = None) -> List[RunRecord]:
         """Generate ``n`` runs (each on ``hardware`` or on random hardware)."""
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        return [self.generate_run(hardware) for _ in range(n)]
+        runs = self._draw(n, hardware)
+        if runs is None:
+            return [self.generate_run(hardware) for _ in range(n)]
+        return [
+            self._record(features, hw, runtime)
+            for features, hw, runtime in zip(runs.features, runs.hardware, runs.runtimes.tolist())
+        ]
 
     def generate_grid(self, n_per_hardware: int) -> List[RunRecord]:
         """Generate ``n_per_hardware`` runs on *every* configuration.
 
         This mirrors how the paper collected its datasets: the same burn units
         / workflow sizes repeated "across all hardware configurations".
+        Grids stay row by row: they are a few rows each, too few for the
+        batch set-up to pay off.
         """
         if n_per_hardware < 0:
             raise ValueError(f"n_per_hardware must be non-negative, got {n_per_hardware}")
@@ -214,22 +314,34 @@ class TraceGenerator:
             features = self.workload.sample_features(self._rng)
             for hw in self.catalog:
                 runtime = self.workload.observed_runtime(features, hw, self._rng)
-                records.append(
-                    RunRecord(
-                        run_id=self._next_id(),
-                        application=self.workload.name,
-                        hardware=hw.name,
-                        runtime_seconds=runtime,
-                        features=dict(features),
-                    )
-                )
+                records.append(self._record(dict(features), hw.name, runtime))
         return records
 
     def generate_frame(self, n: int, grid: bool = False) -> DataFrame:
         """Generate a dataset and return it as a :class:`DataFrame`.
 
         With ``grid=True``, ``n`` is interpreted as runs *per hardware* and the
-        same sampled workflows are repeated on every configuration.
+        same sampled workflows are repeated on every configuration.  Other
+        datasets are built column by column from one batch, in the column
+        order :func:`records_to_frame` gives them.
         """
-        records = self.generate_grid(n) if grid else self.generate_runs(n)
-        return records_to_frame(records)
+        if grid:
+            return records_to_frame(self.generate_grid(n))
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        runs = self._draw(n, None)
+        if runs is None:
+            return records_to_frame([self.generate_run() for _ in range(n)])
+        start = self._counter
+        self._counter += n
+        name = self.workload.name
+        data: Dict[str, np.ndarray] = {
+            "run_id": np.array(
+                [f"{name}-{i:06d}" for i in range(start + 1, start + n + 1)], dtype=object
+            ),
+            "application": np.full(n, name, dtype=object),
+            "hardware": np.array(runs.hardware, dtype=object),
+            "runtime_seconds": runs.runtimes,
+        }
+        data.update(runs.columns)
+        return DataFrame(data)

@@ -20,12 +20,12 @@ here:
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.hardware import HardwareCatalog, HardwareConfig
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import as_generator
 from repro.workloads.base import WorkloadModel
 
 __all__ = ["tiled_matrix_square", "MatrixMultiplicationWorkload"]
@@ -180,7 +180,8 @@ class MatrixMultiplicationWorkload(WorkloadModel):
         max_value = float(rng.integers(1, 101))
         return {
             "size": float(size),
-            "sparsity": float(rng.uniform(0.0, 0.9)),
+            # Exactly rng.uniform(0.0, 0.9), without its argument handling.
+            "sparsity": 0.0 + (0.9 - 0.0) * rng.random(),
             "min_value": min_value,
             "max_value": max_value,
         }

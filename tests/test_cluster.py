@@ -1,6 +1,5 @@
 """Tests for the cluster simulator substrate."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import (

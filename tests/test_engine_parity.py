@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 
 from repro.core.banditware import BanditWare
-from repro.core.models import LeastSquaresModel, RidgeModel
+from repro.core.models import LeastSquaresModel, RecursiveLeastSquaresModel, RidgeModel
 from repro.core.policies import DecayingEpsilonGreedyPolicy
 from repro.core.selection import ToleranceConfig, TolerantSelector
 from repro.evaluation import OnlineSimulation, SimulationConfig
-from repro.hardware import ndp_catalog
 from repro.workloads import LinearRuntimeWorkload, TraceGenerator
 
 
@@ -245,6 +244,21 @@ class TestIncrementalSolverParity:
             two.update_batch(X, y)
             assert np.array_equal(one.coefficients, two.coefficients)
             assert one.intercept == two.intercept
+
+    def test_update_vectors_matches_update_batch(self, rng):
+        # The validation-free hot path: least squares ingests and solves
+        # once; other models fall back to update_batch.
+        X = rng.uniform(0, 10, size=(15, 2))
+        y = rng.uniform(1, 50, size=15)
+        for cls in (LeastSquaresModel, RidgeModel, RecursiveLeastSquaresModel):
+            batch = cls(2)
+            vectors = cls(2)
+            batch.update_batch(X, y)
+            vectors.update_vectors(list(X), y.tolist())
+            vectors.update_vectors([], [])
+            assert vectors.n_observations == batch.n_observations == 15
+            assert np.array_equal(vectors.coefficients, batch.coefficients)
+            assert vectors.intercept == batch.intercept
 
 
 class TestServiceBatchParity:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import LinearSlowdown, NoInterference
+from repro.cluster import NoInterference
 from repro.core.rewards import RegretLedger, RoundOutcome
 from repro.evaluation import (
     CONTENTION_SCENARIOS,
